@@ -45,6 +45,8 @@ class Box:
                 f"probs has length {probs.size}, expected "
                 f"(inputs*outputs)**parties = {expected}"
             )
+        if not np.isfinite(probs).all():
+            raise ValueError("probs must be finite (found nan or inf)")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -142,15 +144,15 @@ def signalling_violation(box: Box) -> float:
 
     For each party i the distribution of the other parties' outputs,
     obtained by summing over a_i, must not depend on x_i.  The returned
-    value is the largest max-minus-min spread across any x_i fibre.
+    value is the largest max-minus-min spread across any x_i fibre; a nan
+    anywhere makes it nan, so that it fails every `<= tol` test.
     """
     k = box.parties
-    worst = 0.0
+    spreads = []
     for i in range(k):
         t = box.tensor.sum(axis=k + i)  # sum over a_i; axes: x_1..x_k, a_{-i}
-        spread = t.max(axis=i) - t.min(axis=i)
-        worst = max(worst, float(spread.max()))
-    return worst
+        spreads.append((t.max(axis=i) - t.min(axis=i)).max())
+    return float(np.max(spreads))
 
 
 def is_no_signalling(box: Box, tol: float = DEFAULT_TOL):
@@ -240,13 +242,13 @@ def is_symmetric(box: Box, tol: float = DEFAULT_TOL) -> bool:
 
 
 def symmetry_violation(box: Box) -> float:
+    """Max entry deviation under any transposition of parties (nan if any is nan)."""
     k = box.parties
-    worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            swapped = permute(box, Permutation.transposition(k, i, j))
-            worst = max(worst, float(np.max(np.abs(swapped.probs - box.probs))))
-    return worst
+    deviations = [
+        np.max(np.abs(permute(box, Permutation.transposition(k, i, j)).probs - box.probs))
+        for i, j in itertools.combinations(range(k), 2)
+    ]
+    return float(np.max(deviations, initial=0.0))
 
 
 def product(factors) -> Box:

@@ -3,16 +3,18 @@
 A symmetric separable n-party state is a convex combination of
 permutation-averages of pure product states tau_1 x ... x tau_n.  Its
 k-party reduced state is the hypergeometric average over ordered distinct
-index tuples of tau_{j_1} x ... x tau_{j_k}; replacing the hypergeometric
-weights by multinomial ones turns each term into the k-fold power of the
-flat average tau = (1/n) sum_j tau_j.  The trace-norm error of that
+index tuples of tau_{j_1} x ... x tau_{j_k}, which Moebius inversion over
+the set partitions of the k positions turns into Bell(k) products of the
+block sums S_b = sum_j tau_j^(x b); replacing the hypergeometric weights
+by multinomial ones turns each term into the k-fold power of the flat
+average tau = (1/n) sum_j tau_j.  The trace-norm error of that
 replacement is at most 2 k (k-1) / n regardless of the local dimension.
 
 Eigenvalues are computed with a cyclic Jacobi sweep on the real symmetric
 embedding of a Hermitian matrix; no external solver is used.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,34 +185,63 @@ def trace_norm_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return trace_norm(diff)
 
 
-def _falling_factorial(n: int, k: int) -> float:
-    out = 1.0
-    for t in range(k):
-        out *= n - t
-    return out
+def _set_partitions(k: int):
+    """Every set partition of {0..k-1}, as lists of blocks (Bell(k) of them)."""
+    if k == 0:
+        yield []
+        return
+    for part in _set_partitions(k - 1):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [k - 1]] + part[i + 1 :]
+        yield part + [[k - 1]]
 
 
 def reduced_state(spec: SymmetricSeparableSpec, k: int) -> DensityMatrix:
     """k-party reduced state of the described n-party state.
 
-    Sums tau_{j_1} x ... x tau_{j_k} over ordered distinct index tuples
-    with uniform weight 1/(n (n-1) ... (n-k+1)); the n-party state is
-    never materialized.
+    The state is the uniform average of tau_{j_1} x ... x tau_{j_k} over
+    the n!/(n-k)! ordered tuples of distinct indices.  Moebius inversion on
+    the lattice of set partitions of the k positions writes that sum as
+
+        sum_pi mu(pi) (x)_{B in pi} S_|B|,   S_b = sum_j tau_j^(x b),
+
+    with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)! and each block sum acting
+    on the positions of its block: Bell(k) tensor products of dimension
+    d**k instead of one per tuple.  Neither the n-party state nor the
+    tuples are ever materialized; REDUCED_DIM_CAP bounds d**k.
     """
     if not 0 < k <= spec.n:
         raise ValueError(f"need 1 <= k <= n={spec.n}, got {k}")
-    dk = spec.d**k
+    d = spec.d
+    dk = d**k
     if dk > REDUCED_DIM_CAP:
         raise ResourceLimitError(f"reduced dimension {dk} exceeds {REDUCED_DIM_CAP}")
-    weight = 1.0 / _falling_factorial(spec.n, k)
-    acc = np.zeros((dk, dk), dtype=complex)
+    partitions = []
+    for part in _set_partitions(k):
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        # The product of the block sums has, block after block, the ket
+        # axes then the bra axes of that block; move them to positions.
+        axes, offset = [0] * (2 * k), 0
+        for b in part:
+            for i, pos in enumerate(b):
+                axes[pos] = offset + i
+                axes[k + pos] = offset + len(b) + i
+            offset += 2 * len(b)
+        partitions.append((mu, [len(b) for b in part], axes))
+    acc = np.zeros((d,) * (2 * k), dtype=complex)
     for w, vecs in spec.terms:
-        for tup in itertools.permutations(range(spec.n), k):
-            v = vecs[tup[0]]
-            for j in tup[1:]:
-                v = np.kron(v, vecs[j])
-            acc += (w * weight) * np.outer(v, v.conj())
-    return DensityMatrix(dk, acc)
+        rows = np.array(vecs)  # row j is tau_j's vector
+        power, block_sums = rows, {}
+        for b in range(1, k + 1):
+            if b > 1:
+                power = (power[:, :, None] * rows[:, None, :]).reshape(spec.n, -1)
+            block_sums[b] = (power.T @ power.conj()).reshape((d,) * (2 * b))
+        for mu, sizes, axes in partitions:
+            t = block_sums[sizes[0]]
+            for size in sizes[1:]:
+                t = np.multiply.outer(t, block_sums[size])
+            acc += (w * mu) * np.transpose(t, axes)
+    return DensityMatrix(dk, acc.reshape(dk, dk) / math.perm(spec.n, k))
 
 
 def definetti_quantum(spec: SymmetricSeparableSpec, k: int):

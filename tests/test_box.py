@@ -35,6 +35,7 @@ from nsbox import (
     sequential_condition,
     signalling_example,
     symmetrize,
+    symmetry_violation,
     uniform_box,
     validate,
 )
@@ -60,6 +61,24 @@ class TestValidate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Box(2, 2, 2, [0.25] * 15)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Box(1, 2, 2, [0.5, 0.5, bad, 0.5])
+
+    def test_violations_propagate_nan(self):
+        # Box refuses nan, so plant one behind the constructor's back to
+        # reach the reductions: a nan must never read as no violation.
+        box = uniform_box(2, 2, 2)
+        probs = box.probs.copy()
+        probs[5] = np.nan
+        object.__setattr__(box, "probs", probs)
+        assert np.isnan(validate(box).signalling_violation)
+        ok, violation = is_no_signalling(box)
+        assert not ok and np.isnan(violation)
+        with pytest.raises(ValueError, match="finite"):  # permute builds a Box
+            symmetry_violation(box)
 
 
 class TestNoSignalling:

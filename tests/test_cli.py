@@ -108,6 +108,22 @@ class TestCli:
         assert "no-signalling false" in printed
         assert "max_violation 1.000000000000" in printed
 
+    def test_nan_box_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        probs = [0.25] * 16
+        probs[3] = float("nan")
+        path.write_text(json.dumps({"parties": 2, "inputs": 2, "outputs": 2, "probs": probs}))
+        pr = self._write(tmp_path, "pr.json", pr_box())
+        for argv in (
+            ["nosig-check", str(path)],
+            ["validate", str(path)],
+            ["distance", "--method", "individual", str(path), pr],
+        ):
+            assert main(argv) != 0, argv
+            captured = capsys.readouterr()
+            assert "true" not in captured.out and "nan" not in captured.out, argv
+            assert "finite" in captured.err, argv
+
     def test_distance_outputs(self, tmp_path, capsys):
         pr = self._write(tmp_path, "pr.json", pr_box())
         q = self._write(tmp_path, "q.json", q_box())

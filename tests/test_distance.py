@@ -11,6 +11,8 @@ Claims covered:
       distance
     - the returned witness effect is feasible on random NS boxes and
       constraint generation terminates within the vertex-count bound
+    - the backward induction for the adaptive distance matches brute-force
+      enumeration of every adaptive strategy
 """
 
 import itertools
@@ -44,8 +46,24 @@ from nsbox import (
     uniform_box,
     validate,
 )
+from nsbox.distance import ADAPTIVE_WORK_CAP, adaptive_work
 
 TOL = 1e-6
+
+
+def brute_force_adaptive(p, q):
+    """Max transcript total variation over every deterministic adaptive strategy."""
+    best = 0.0
+    for order in itertools.permutations(range(p.parties)):
+        step_choices = [
+            itertools.product(range(p.inputs), repeat=p.outputs**t) for t in range(p.parties)
+        ]
+        for decisions in itertools.product(*step_choices):
+            strategy = AdaptiveStrategy(order, decisions)
+            dp = transcript_distribution(p, strategy)
+            dq = transcript_distribution(q, strategy)
+            best = max(best, 0.5 * float(np.abs(dp - dq).sum()))
+    return best
 
 
 def effect_range_ok(effect, box, tol=1e-8):
@@ -146,8 +164,22 @@ class TestAdaptive:
             adaptive_distance(signalling_example(), q_box())
 
     def test_resource_cap(self):
+        # The cap is on the entries the backward induction reads; (4,3,3),
+        # with 24 * 3**40 strategies, reads fewer than 10**5.
+        assert adaptive_distance(uniform_box(4, 3, 3), uniform_box(4, 3, 3)) == 0.0
+        assert adaptive_work(9, 2, 2) > ADAPTIVE_WORK_CAP
         with pytest.raises(ResourceLimitError):
-            adaptive_distance(uniform_box(4, 3, 3), uniform_box(4, 3, 3))
+            adaptive_distance(uniform_box(9, 2, 2), uniform_box(9, 2, 2))
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(10)
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
+            for _ in range(4):
+                p = random_ns_mixture(*shape, rng)
+                q = random_ns_mixture(*shape, rng)
+                assert adaptive_distance(p, q) == pytest.approx(
+                    brute_force_adaptive(p, q), abs=1e-12
+                ), shape
 
     def test_dominates_individual(self):
         rng = np.random.default_rng(2)

@@ -1,8 +1,9 @@
 """Separable-state de Finetti approximation and the Jacobi eigensolver.
 
-The brute-force oracle for reduced states materializes the full n-party
-permutation average and partially traces it (only feasible for small n),
-which the production path never does.
+Two oracles check reduced states: one materializes the full n-party
+permutation average and partially traces it (only feasible for small n);
+the other sums one Kronecker product per ordered tuple of distinct
+indices.  The production path does neither.
 """
 
 import itertools
@@ -57,6 +58,20 @@ def brute_force_reduced(spec, k):
     while rho.dim > d**k:
         rho = partial_trace_last(rho, d)
     return rho
+
+
+def per_tuple_reduced(spec, k):
+    """Uniform average of tau_{j_1} x ... x tau_{j_k} over distinct index tuples."""
+    dk = spec.d**k
+    weight = 1.0 / math.perm(spec.n, k)
+    acc = np.zeros((dk, dk), dtype=complex)
+    for w, vecs in spec.terms:
+        for tup in itertools.permutations(range(spec.n), k):
+            v = vecs[tup[0]]
+            for j in tup[1:]:
+                v = np.kron(v, vecs[j])
+            acc += (w * weight) * np.outer(v, v.conj())
+    return acc
 
 
 class TestJacobi:
@@ -147,6 +162,13 @@ class TestReducedState:
             fast = reduced_state(spec, k)
             slow = brute_force_reduced(spec, k)
             assert np.max(np.abs(fast.entries - slow.entries)) <= 1e-11, k
+
+    def test_against_per_tuple_sum(self):
+        rng = np.random.default_rng(53)
+        for n, d, k in ((3, 2, 3), (5, 2, 4), (6, 3, 3), (6, 2, 5), (7, 1, 5), (4, 4, 2)):
+            spec = random_spec(n, d, 2, rng)
+            fast = reduced_state(spec, k).entries
+            assert np.max(np.abs(fast - per_tuple_reduced(spec, k))) <= 1e-11, (n, d, k)
 
     def test_partial_trace_consistency(self):
         rng = np.random.default_rng(48)

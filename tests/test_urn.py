@@ -1,11 +1,13 @@
 """Hypergeometric vs multinomial urn comparison.
 
-The independent oracle used here enumerates position tuples directly and
-aggregates them into label-sequence probabilities, cross-checking the
-incremental implementations.
+Two independent oracles are used here: one enumerates position tuples
+directly and aggregates them into label-sequence probabilities; the other
+sums exact rational masses over count vectors.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,28 @@ def oracle_label_distance(urn, k):
         h[seq] = h.get(seq, 0.0) + hypergeometric_pmf(urn, tup)
     keys = set(h) | set(m)
     return 0.5 * sum(abs(h.get(s, 0.0) - m.get(s, 0.0)) for s in keys)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def exact_label_distance(urn, k):
+    """Exact rational total variation, summed over count vectors."""
+    counts = list(urn.counts.values())
+    total = Fraction(0)
+    for comp in compositions(k, len(counts)):
+        sequences = math.factorial(k) // math.prod(math.factorial(j) for j in comp)
+        h = Fraction(math.prod(math.perm(c, j) for c, j in zip(counts, comp)), math.perm(urn.n, k))
+        m = Fraction(math.prod(c**j for c, j in zip(counts, comp)), urn.n**k)
+        total += sequences * abs(h - m)
+    return total / 2
 
 
 class TestPositionPMFs:
@@ -133,6 +157,20 @@ class TestVariationalDistance:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
             urn_variational_distance(Urn(tuple(range(100))), 100)
+
+    def test_exact_on_all_small_urns(self):
+        for n in range(1, 9):
+            for part in partitions(n):
+                urn = urn_from_partition(part)
+                for k in range(0, n + 1):
+                    exact = exact_label_distance(urn, k)
+                    assert abs(urn_variational_distance(urn, k) - exact) <= 1e-13, (part, k)
+
+    def test_twelve_labels_seven_draws_not_refused(self):
+        # 12**7 label sequences, but only C(18, 11) = 31824 count vectors.
+        urn = Urn(tuple(range(12)) * 2 + (0, 1, 2, 3, 4, 5, 6))
+        exact = exact_label_distance(urn, 7)
+        assert abs(urn_variational_distance(urn, 7) - exact) <= 1e-13
 
 
 class TestBound:
