@@ -139,6 +139,23 @@ def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(norm, neg, signalling_violation(box))
 
 
+def require_box(box: Box, tol: float, name: str) -> None:
+    """Raise unless the box is normalized, nonnegative and no-signalling.
+
+    A signalling box raises SignallingError; a non-normalized or negative
+    one raises ValueError naming the violation.
+    """
+    report = validate(box, tol)
+    if report.signalling_violation > tol:
+        raise SignallingError(f"{name} is signalling", report.signalling_violation)
+    if not report.is_valid(tol):
+        raise ValueError(
+            f"{name} is not a box: normalization violation "
+            f"{report.normalization_violation:.3e}, negativity violation "
+            f"{report.negativity_violation:.3e}"
+        )
+
+
 def signalling_violation(box: Box) -> float:
     """Max deviation over the per-party no-signalling conditions.
 

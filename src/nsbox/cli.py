@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("p")
     p.add_argument("q")
     p.add_argument("--method", required=True, choices=["individual", "adaptive", "general"])
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="tolerance of the box checks (adaptive and general)")
     p.add_argument("--witness", default=None, help="write the optimal effect (general only)")
 
     p = sub.add_parser("urn-distance", help="hypergeometric vs multinomial label distance")
@@ -209,7 +210,7 @@ def _run(args) -> int:
         if args.method == "individual":
             value = individual_distance(p, q)
         elif args.method == "adaptive":
-            value = adaptive_distance(p, q)
+            value = adaptive_distance(p, q, args.tol)
         else:
             value, witness = general_distance(p, q, args.tol)
             if args.witness:

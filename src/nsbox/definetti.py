@@ -25,18 +25,15 @@ from .box import (
     DEFAULT_TOL,
     Box,
     deterministic_box,
-    is_no_signalling,
     marginal,
     product,
+    require_box,
     symmetry_violation,
 )
-from .errors import AsymmetryError, SignallingError
+from .errors import AsymmetryError
 
 # Outcomes of the advance measurement below this probability are dropped.
 SUPPORT_EPS = 1e-15
-
-# Averaged factor boxes closer than this are merged into one mixture term.
-COALESCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,7 @@ def separable_decompose(p: Box, tol: float = DEFAULT_TOL) -> SeparableDecomposit
     sym = symmetry_violation(p)
     if sym > tol:
         raise AsymmetryError("decomposition requires a symmetric box", sym)
-    ok, v = is_no_signalling(p, tol)
-    if not ok:
-        raise SignallingError("decomposition requires a no-signalling box", v)
+    require_box(p, tol, "decomposed box")
 
     m = n // x_card
     if m * x_card < n:
@@ -127,10 +122,12 @@ def reconstruct(dec: SeparableDecomposition) -> Box:
 
 
 def averaged_mixture(dec: SeparableDecomposition, k: int) -> DeFinettiMixture:
-    """One i.i.d. component per decomposition term: the mean of its factors.
+    """One i.i.d. component per distinct mean of a term's factors.
 
-    Components equal within the coalescing tolerance are merged.  The
-    recorded bound is min(2kE/m, k(k-1)/m) with E = outputs ** inputs.
+    Factor entries are 0 or 1, so a mean is exactly counts / m for the
+    summed factor vector `counts`: terms with equal sums are merged, in
+    first-seen order, and distinct means differ by at least 1/m.  The recorded bound is min(2kE/m, k(k-1)/m) with
+    E = outputs ** inputs.
     """
     m = dec.parties
     if not 1 <= k <= m:
@@ -138,17 +135,13 @@ def averaged_mixture(dec: SeparableDecomposition, k: int) -> DeFinettiMixture:
     e_count = dec.outputs**dec.inputs
     bound = min(2.0 * k * e_count / m, k * (k - 1) / m)
 
-    merged = []  # [probs array, weight]
+    merged = {}  # summed factor vector bytes -> [counts, weight]
     for q, factors in dec.terms:
-        avg = sum(f.probs for f in factors) / m
-        for entry in merged:
-            if np.max(np.abs(entry[0] - avg)) <= COALESCE_TOL:
-                entry[1] += q
-                break
-        else:
-            merged.append([avg, q])
+        counts = sum(f.probs for f in factors)
+        entry = merged.setdefault(counts.tobytes(), [counts, 0.0])
+        entry[1] += q
     terms = tuple(
-        (w, Box(1, dec.inputs, dec.outputs, probs)) for probs, w in merged
+        (w, Box(1, dec.inputs, dec.outputs, counts / m)) for counts, w in merged.values()
     )
     return DeFinettiMixture(k, bound, terms)
 

@@ -10,7 +10,9 @@ Three nested measurement classes induce three distances:
   the measurement order.
 * general: supremum over all effects, i.e. linear functionals taking
   every no-signalling box into [0, 1].  Computed as a linear program over
-  the no-signalling polytope via constraint generation.
+  the no-signalling polytope.  Because P - Q has zero mass per input it
+  equals the base norm of P - Q in the no-signalling cone, which is one
+  LP; the optimal effect is read off that LP's reduced costs.
 
 All values use the 1/2 * L1 convention and lie in [0, 1].
 """
@@ -22,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .box import DEFAULT_TOL, Box, is_no_signalling, uniform_box
-from .errors import ConvergenceError, ResourceLimitError, ShapeError, SignallingError
+from .box import DEFAULT_TOL, Box, require_box
+from .errors import ConvergenceError, ResourceLimitError, ShapeError
 from .simplex import OPTIMAL, lp_solve
 
 NS_DIMENSION_CAP = 10**4
@@ -32,9 +34,6 @@ NS_DIMENSION_CAP = 10**4
 # adaptive_work).  At about 20 ns an entry on a 2-CPU Xeon with numpy 2.4,
 # the cap is under half a second; (8,2,2) reads 8.4e6 entries in 0.16 s.
 ADAPTIVE_WORK_CAP = 2 * 10**7
-
-# A box counts as violating an effect constraint beyond this threshold.
-ORACLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -219,10 +218,8 @@ def adaptive_distance(p: Box, q: Box, tol: float = DEFAULT_TOL) -> float:
     work = adaptive_work(k, p.inputs, p.outputs)
     if work > ADAPTIVE_WORK_CAP:
         raise ResourceLimitError(f"adaptive induction reads {work} entries, over {ADAPTIVE_WORK_CAP}")
-    for name, b in (("first", p), ("second", q)):
-        ok, v = is_no_signalling(b, tol)
-        if not ok:
-            raise SignallingError(f"{name} box is signalling", v)
+    require_box(p, tol, "first box")
+    require_box(q, tol, "second box")
     # Axis 0 enumerates the orders of the parties eliminated so far; the
     # rest are x_1..x_m, a_1..a_m of the m parties left.
     t = np.abs(p.tensor - q.tensor)[None]
@@ -245,80 +242,42 @@ class Effect:
 class GeneralDistanceResult:
     value: float
     witness: Effect
-    iterations: int
-    working_set_size: int
-    oracle_violation: float
 
 
-def general_distance(p: Box, q: Box, tol: float = ORACLE_TOL):
+def general_distance(p: Box, q: Box, tol: float = DEFAULT_TOL):
     """Trace distance sup over effects of a(P) - a(Q); returns (value, witness)."""
     res = general_distance_detailed(p, q, tol)
     return res.value, res.witness
 
 
-def general_distance_detailed(
-    p: Box, q: Box, tol: float = ORACLE_TOL, max_iterations: int = 500
-) -> GeneralDistanceResult:
-    """Constraint generation for the effect-norm distance.
+def general_distance_detailed(p: Box, q: Box, tol: float = DEFAULT_TOL) -> GeneralDistanceResult:
+    """The effect distance as the base norm of P - Q, by one LP.
 
-    The master LP maximizes <c, P-Q> over coefficient vectors c >= 0 with
-    0 <= <c, R> <= 1 for every box R in a working set, seeded with the
-    uniform box (which already bounds the master).  The separation oracle
-    minimizes and maximizes <c, .> over the no-signalling polytope; any
-    box violating the [0, 1] range joins the working set.  Restricting to
-    c >= 0 loses no effects: the dual cone of the no-signalling polytope
-    is generated by products of single-party positive functionals, which
-    all admit entrywise-nonnegative coefficient representatives.  Since
-    the complement e - a of a feasible effect is feasible, the signed
-    maximum equals the sup of |a(P) - a(Q)|.
+    P - Q has zero mass per input, so the supremum over effects equals the
+    least t with P - Q = S1 - S2 for S1, S2 in the no-signalling cone with
+    mass t per input.  Writing S1 = W + (P-Q)+ leaves S2 = W + (P-Q)-
+    nonnegative and no-signalling for free, so the LP is
 
-    Each added box is a vertex (basic optimal solution), so the working
-    set grows within a finite set and the loop terminates.
+        minimize t  over W >= 0, t >= 0,  A W - t b = -A (P-Q)+,
+
+    with (A, b) the equalities of ns_constraints.  The witness is read off
+    the same LP: its reduced costs on the W columns are A^T y >= 0 with
+    b.y <= 1 for the optimal duals y, so A^T y takes every no-signalling
+    box into [0, 1], and any c with 0 <= c <= A^T y does too.  Zeroing
+    them where P - Q <= 0 gives such a c, and complementary slackness
+    makes c.(P-Q) = t.  Both boxes must pass `require_box` at `tol`.
     """
     if not p.same_shape(q):
         raise ShapeError("boxes differ in shape")
-    for name, b in (("first", p), ("second", q)):
-        ok, v = is_no_signalling(b, DEFAULT_TOL)
-        if not ok:
-            raise SignallingError(f"{name} box is signalling", v)
+    require_box(p, tol, "first box")
+    require_box(q, tol, "second box")
     poly = ns_constraints(p.parties, p.inputs, p.outputs)
     diff = p.probs - q.probs
-    working = [uniform_box(p.parties, p.inputs, p.outputs).probs]
-
-    value = None
-    for iteration in range(1, max_iterations + 1):
-        rows = np.array(working)
-        a_ub = np.concatenate([rows, -rows], axis=0)
-        b_ub = np.concatenate([np.ones(len(working)), np.zeros(len(working))])
-        master = lp_solve(diff, a_ub=a_ub, b_ub=b_ub, maximize=True)
-        if master.status != OPTIMAL:
-            raise ConvergenceError(f"master LP ended with status {master.status}")
-        coeffs = master.x
-        value = master.value
-
-        hi, vmax = polytope_extremum(coeffs, poly, maximize=True)
-        lo, vmin = polytope_extremum(coeffs, poly, maximize=False)
-        violation = max(hi - 1.0, -lo)
-        if violation <= tol:
-            witness = Effect(coeffs)
-            return GeneralDistanceResult(
-                float(value), witness, iteration, len(working), float(violation)
-            )
-        added = False
-        for viol, vertex in ((hi - 1.0, vmax), (-lo, vmin)):
-            if viol <= tol:
-                continue
-            if all(np.max(np.abs(vertex.probs - w)) > 1e-12 for w in working):
-                working.append(vertex.probs)
-                added = True
-        if not added:
-            raise ConvergenceError(
-                "separation oracle repeated a known vertex",
-                value=float(value),
-                violation=float(violation),
-            )
-    raise ConvergenceError(
-        f"constraint generation did not converge in {max_iterations} iterations",
-        value=float(value),
-        working_set=len(working),
-    )
+    a_eq = np.hstack([poly.a_eq, -poly.b_eq[:, None]])
+    cost = np.zeros(poly.dim + 1)
+    cost[-1] = 1.0
+    res = lp_solve(cost, a_eq=a_eq, b_eq=-(poly.a_eq @ np.maximum(diff, 0.0)))
+    if res.status != OPTIMAL:
+        raise ConvergenceError(f"base-norm LP ended with status {res.status}")
+    coeffs = np.where(diff > 0.0, np.maximum(res.reduced_costs[:-1], 0.0), 0.0)
+    return GeneralDistanceResult(res.value, Effect(coeffs))

@@ -26,7 +26,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver hit its iteration cap or ended without an optimal solution."""
 
     def __init__(self, message: str, **diagnostics):
         super().__init__(message)

@@ -23,7 +23,8 @@ from .errors import ConvergenceError, ResourceLimitError
 
 DEFAULT_QTOL = 1e-9
 
-# Hard cap on the reduced-state Hilbert-space dimension d**k.
+# Hard cap on max(d, 2)**k: the reduced-state dimension d**k, and 2**k so
+# that the Bell(k) partitions stay bounded (k <= 8) even when d = 1.
 REDUCED_DIM_CAP = 256
 
 JACOBI_OFFDIAG_TOL = 1e-12
@@ -208,14 +209,14 @@ def reduced_state(spec: SymmetricSeparableSpec, k: int) -> DensityMatrix:
     with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)! and each block sum acting
     on the positions of its block: Bell(k) tensor products of dimension
     d**k instead of one per tuple.  Neither the n-party state nor the
-    tuples are ever materialized; REDUCED_DIM_CAP bounds d**k.
+    tuples are ever materialized; REDUCED_DIM_CAP bounds max(d, 2)**k.
     """
     if not 0 < k <= spec.n:
         raise ValueError(f"need 1 <= k <= n={spec.n}, got {k}")
     d = spec.d
     dk = d**k
-    if dk > REDUCED_DIM_CAP:
-        raise ResourceLimitError(f"reduced dimension {dk} exceeds {REDUCED_DIM_CAP}")
+    if max(d, 2) ** k > REDUCED_DIM_CAP:
+        raise ResourceLimitError(f"max(d, 2)**k = {max(d, 2) ** k} exceeds {REDUCED_DIM_CAP}")
     partitions = []
     for part in _set_partitions(k):
         mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
@@ -269,8 +270,8 @@ def mixture_density(mixture, k: int) -> DensityMatrix:
         raise ValueError("mixture has no terms")
     d = mixture[0][1].dim
     dk = d**k
-    if dk > REDUCED_DIM_CAP:
-        raise ResourceLimitError(f"dimension {dk} exceeds {REDUCED_DIM_CAP}")
+    if max(d, 2) ** k > REDUCED_DIM_CAP:
+        raise ResourceLimitError(f"max(d, 2)**k = {max(d, 2) ** k} exceeds {REDUCED_DIM_CAP}")
     acc = np.zeros((dk, dk), dtype=complex)
     for w, sigma in mixture:
         power = sigma.entries

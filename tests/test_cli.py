@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_valid_box
 from nsbox import (
+    Box,
     boxes_equal,
     definetti_approximation,
     pr_box,
@@ -123,6 +124,20 @@ class TestCli:
             captured = capsys.readouterr()
             assert "true" not in captured.out and "nan" not in captured.out, argv
             assert "finite" in captured.err, argv
+
+    def test_mass_two_box_exits_1(self, tmp_path, capsys):
+        # No-signalling but normalized to 2: no distance or mixture is printed.
+        doubled = self._write(tmp_path, "doubled.json", Box(2, 2, 2, 2.0 * pr_box().probs))
+        q = self._write(tmp_path, "q.json", q_box())
+        for argv in (
+            ["distance", "--method", "general", doubled, q],
+            ["distance", "--method", "adaptive", q, doubled],
+            ["definetti", "--k", "1", doubled],
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "normalization violation 1.000e+00" in captured.err, argv
 
     def test_distance_outputs(self, tmp_path, capsys):
         pr = self._write(tmp_path, "pr.json", pr_box())

@@ -12,6 +12,7 @@ import pytest
 from conftest import random_single_party_box, random_symmetric_ns_box
 from nsbox import (
     AsymmetryError,
+    Box,
     DeFinettiMixture,
     SeparableDecomposition,
     SignallingError,
@@ -83,6 +84,15 @@ class TestDecompose:
         with pytest.raises(SignallingError):
             separable_decompose(signalling_example())
 
+    def test_rejects_non_boxes(self):
+        # A mass-2 symmetric box would give a mixture of weight 2 with a
+        # "certified" bound.
+        doubled = Box(2, 2, 2, 2.0 * symmetrize(pr_box()).probs)
+        with pytest.raises(ValueError, match=r"normalization violation 1\.000e\+00"):
+            separable_decompose(doubled)
+        with pytest.raises(ValueError, match=r"normalization violation 1\.000e\+00"):
+            definetti_approximation(Box(4, 2, 2, 2.0 * uniform_box(4, 2, 2).probs), 2)
+
     def test_needs_enough_parties(self):
         with pytest.raises(ValueError):
             separable_decompose(uniform_box(2, 3, 2))
@@ -132,6 +142,33 @@ class TestAveragedMixture:
         assert weight == pytest.approx(1.0)
         assert boxes_equal(component, r)
         assert boxes_equal(mixture_to_box(mixture), product([r, r]))
+
+    def test_one_component_per_output_count_table(self):
+        # A component is fixed by how many factors answer a on input x.
+        # Distinct factor multisets can share that table: {00, 11} and
+        # {01, 10} both average to the uniform box, and merge.
+        d = {t: deterministic_box(t, 2) for t in ((0, 0), (1, 1), (0, 1), (1, 0))}
+        dec = SeparableDecomposition(
+            2, 2, 2, ((0.5, (d[0, 0], d[1, 1])), (0.5, (d[0, 1], d[1, 0]))), (0, 1, 0, 1)
+        )
+        mixture = averaged_mixture(dec, 2)
+        assert len(mixture.terms) == 1
+        assert mixture.terms[0][0] == 1.0
+        assert boxes_equal(mixture.terms[0][1], uniform_box(1, 2, 2), 0.0)
+        rng = np.random.default_rng(40)
+        for n, inputs, outputs in ((4, 2, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3)):
+            dec = separable_decompose(random_symmetric_ns_box(n, inputs, outputs, rng))
+            tables = set()
+            for _, factors in dec.terms:
+                answers = [np.argmax(f.probs.reshape(inputs, outputs), axis=1) for f in factors]
+                tables.add(tuple(
+                    sum(int(a[x] == b) for a in answers)
+                    for x in range(inputs)
+                    for b in range(outputs)
+                ))
+            mixture = averaged_mixture(dec, 1)
+            assert len(mixture.terms) == len(tables), (n, inputs, outputs)
+            assert mixture.total_weight == pytest.approx(dec.total_weight, abs=1e-12)
 
     def test_bound_arithmetic(self):
         r = deterministic_box([0, 1], 2)

@@ -9,8 +9,11 @@ Claims covered:
     - metric axioms (symmetry, triangle, identity of indiscernibles)
     - for a single input, all three collapse to the classical variational
       distance
-    - the returned witness effect is feasible on random NS boxes and
-      constraint generation terminates within the vertex-count bound
+    - the general distance matches a scipy/HiGHS base-norm LP, and its
+      witness is an effect (HiGHS max and min over the NS polytope lie in
+      [0, 1]) that attains the value; it is also feasible on random NS boxes
+    - the adaptive and general distances refuse inputs that are not
+      normalized, nonnegative no-signalling boxes
     - the backward induction for the adaptive distance matches brute-force
       enumeration of every adaptive strategy
 """
@@ -19,6 +22,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_ns_mixture
 from nsbox import (
@@ -30,7 +34,6 @@ from nsbox import (
     adaptive_strategy_count,
     deterministic_box,
     general_distance,
-    general_distance_detailed,
     individual_distance,
     is_no_signalling,
     mix,
@@ -69,6 +72,40 @@ def brute_force_adaptive(p, q):
 def effect_range_ok(effect, box, tol=1e-8):
     v = effect.value(box)
     return -tol <= v <= 1.0 + tol
+
+
+def highs_base_norm(p, q):
+    """Least t with P - Q = S1 - S2, S1 and S2 in the NS cone with mass t per input."""
+    poly = ns_constraints(p.parties, p.inputs, p.outputs)
+    a_eq = np.hstack([poly.a_eq, -poly.b_eq[:, None]])
+    cost = np.zeros(poly.dim + 1)
+    cost[-1] = 1.0
+    lower = np.append(np.maximum(p.probs - q.probs, 0.0), 0.0)
+    res = linprog(
+        cost, A_eq=a_eq, b_eq=np.zeros(len(a_eq)), bounds=[(lo, None) for lo in lower],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def highs_effect_range(coeffs, parties, inputs, outputs):
+    """Min and max of <coeffs, R> over the NS polytope, by HiGHS."""
+    poly = ns_constraints(parties, inputs, outputs)
+    lo = linprog(coeffs, A_eq=poly.a_eq, b_eq=poly.b_eq, method="highs")
+    hi = linprog(-coeffs, A_eq=poly.a_eq, b_eq=poly.b_eq, method="highs")
+    assert lo.status == 0 and hi.status == 0
+    return lo.fun, -hi.fun
+
+
+def doubled_pr_box():
+    """A no-signalling array of mass 2 per input: not a box."""
+    return Box(2, 2, 2, 2.0 * pr_box().probs)
+
+
+def signed_box():
+    """A normalized no-signalling array with entries of -0.25: not a box."""
+    return Box(2, 2, 2, 1.5 * q_box().probs - 0.5 * pr_box().probs)
 
 
 class TestPolytope:
@@ -163,6 +200,12 @@ class TestAdaptive:
         with pytest.raises(SignallingError):
             adaptive_distance(signalling_example(), q_box())
 
+    def test_rejects_non_boxes(self):
+        with pytest.raises(ValueError, match=r"normalization violation 1\.000e\+00"):
+            adaptive_distance(doubled_pr_box(), q_box())
+        with pytest.raises(ValueError, match=r"negativity violation 2\.500e-01"):
+            adaptive_distance(q_box(), signed_box())
+
     def test_resource_cap(self):
         # The cap is on the entries the backward induction reads; (4,3,3),
         # with 24 * 3**40 strategies, reads fewer than 10**5.
@@ -255,32 +298,34 @@ class TestGeneral:
         for _ in range(200):
             assert effect_range_ok(witness, random_ns_box(2, 2, 2, rng))
 
-    def test_iterations_within_vertex_bound(self):
-        # Each iteration adds a new vertex, so iterations are capped by the
-        # vertex count: 4 deterministic boxes for a single binary party;
-        # 16 deterministic + 8 nonlocal vertices for the two-party case.
+    def test_certificate_against_highs(self):
+        # The value is checked against an independent LP solver, and the
+        # witness over the whole polytope rather than at sampled boxes.
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            p = random_ns_box(1, 2, 2, rng)
-            q = random_ns_box(1, 2, 2, rng)
-            res = general_distance_detailed(p, q)
-            assert res.iterations <= 5
-        res = general_distance_detailed(pr_box(), q_box())
-        assert res.iterations <= 25
+        for shape in ((2, 2, 2), (3, 2, 2), (2, 3, 3)):
+            for _ in range(3):
+                p = random_ns_mixture(*shape, rng)
+                q = random_ns_mixture(*shape, rng)
+                value, witness = general_distance(p, q)
+                assert value == pytest.approx(highs_base_norm(p, q), abs=1e-9), shape
+                gap = witness.value(p) - witness.value(q)
+                assert gap == pytest.approx(value, abs=1e-9), shape
+                lo, hi = highs_effect_range(witness.coeffs, *shape)
+                assert -1e-9 <= lo and hi <= 1.0 + 1e-9, (shape, lo, hi)
 
     def test_requires_no_signalling(self):
         with pytest.raises(SignallingError):
             general_distance(signalling_example(), q_box())
 
-    def test_iteration_cap_error_carries_bounds(self):
-        from nsbox import ConvergenceError
-
-        with pytest.raises(ConvergenceError) as err:
-            general_distance_detailed(pr_box(), q_box(), max_iterations=1)
-        assert "value" in err.value.diagnostics
-        # The master relaxation over-estimates, so the partial value is an
-        # upper bound on the true distance of 1.
-        assert err.value.diagnostics["value"] >= 1.0 - 1e-9
+    def test_rejects_non_boxes(self):
+        # A mass-2 PR box is no-signalling but not normalized; the base
+        # norm of its difference to the Q box would read 2.
+        with pytest.raises(ValueError, match=r"normalization violation 1\.000e\+00"):
+            general_distance(doubled_pr_box(), q_box())
+        with pytest.raises(ValueError, match="second box"):
+            general_distance(q_box(), doubled_pr_box())
+        with pytest.raises(ValueError, match=r"negativity violation 2\.500e-01"):
+            general_distance(signed_box(), q_box())
 
 
 class TestShapeChecks:

@@ -194,6 +194,16 @@ class TestReducedState:
         with pytest.raises(ResourceLimitError):
             reduced_state(spec3, 6)
 
+    def test_bell_cap_for_one_dimension(self):
+        # d = 1 keeps d**k at 1, but the Bell(k) partitions still grow; the
+        # cap on max(d, 2)**k stops k at 8.
+        spec = SymmetricSeparableSpec(10, 1, ((1.0, tuple(np.ones(1) for _ in range(10))),))
+        assert np.allclose(reduced_state(spec, 8).entries, [[1.0]])
+        mixture, _ = definetti_quantum(spec, 9)
+        for compute in (reduced_state, lambda s, k: mixture_density(mixture, k)):
+            with pytest.raises(ResourceLimitError):
+                compute(spec, 9)
+
 
 class TestDeFinettiQuantum:
     def test_identical_states_distance_zero(self):

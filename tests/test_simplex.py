@@ -31,8 +31,8 @@ class TestBasics:
         assert np.allclose(res.x, [1.0, 0.0])
 
     def test_master_lp_first_iteration_is_bounded(self):
-        # The constraint-generation master problem over nonnegative effect
-        # coefficients, seeded with just the uniform box, has a finite
+        # Maximizing <c, P-Q> over nonnegative effect coefficients c with
+        # 0 <= <c, U> <= 1 for the uniform box U alone has a finite
         # optimum: <c, U> <= 1 caps the coefficient sum.
         u = uniform_box(2, 2, 2).probs
         diff = np.zeros(16)
@@ -75,6 +75,17 @@ class TestAgainstScipy:
             hits[expected] += 1
             if expected == OPTIMAL:
                 assert mine.value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                # Dual feasibility and complementary slackness of the final
+                # tableau: reduced costs >= 0, and zero where x > 0.  When
+                # maximizing they are those of minimizing the negated
+                # objective, so the same signs hold.
+                twin = lp_solve(-c, a_ub, b_ub, a_eq, b_eq, maximize=True)
+                assert twin.status == OPTIMAL
+                assert twin.value == pytest.approx(-mine.value, abs=1e-9, rel=1e-9)
+                for res in (mine, twin):
+                    assert res.reduced_costs.shape == (n,)
+                    assert np.all(res.reduced_costs >= -1e-9)
+                    assert abs(res.reduced_costs @ res.x) <= 1e-8
         # The generator should exercise all three statuses.
         assert all(v > 0 for v in hits.values()), hits
 
