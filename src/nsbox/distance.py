@@ -9,10 +9,10 @@ Three nested measurement classes induce three distances:
   on the outputs observed so far.  Computed by backward induction over
   the measurement order.
 * general: supremum over all effects, i.e. linear functionals taking
-  every no-signalling box into [0, 1].  Computed as a linear program over
-  the no-signalling polytope.  Because P - Q has zero mass per input it
-  equals the base norm of P - Q in the no-signalling cone, which is one
-  LP; the optimal effect is read off that LP's reduced costs.
+  every no-signalling box into [0, 1].  Because P - Q has zero mass per
+  input it equals the base norm of P - Q in the no-signalling cone, which
+  is one LP; its dual, solved here, has one row per product of
+  single-party basis boxes, and its optimum is the optimal effect.
 
 All values use the 1/2 * L1 convention and lie in [0, 1].
 """
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .box import DEFAULT_TOL, Box, require_box
+from .box import DEFAULT_TOL, Box, deterministic_box, product, require_box
 from .errors import ConvergenceError, ResourceLimitError, ShapeError
 from .simplex import OPTIMAL, lp_solve
 
@@ -43,7 +43,9 @@ class NSPolytopeH:
     Equalities are one normalization row per joint input plus the
     per-party no-signalling generators; the only inequalities are
     entrywise nonnegativity (implicit x >= 0 in the LP solver).
-    Redundant rows are permitted.
+    Redundant rows are permitted.  The rows of `span` are
+    (1 + inputs (outputs - 1))**parties linearly independent product
+    boxes that span the no-signalling boxes.
     """
 
     parties: int
@@ -52,6 +54,7 @@ class NSPolytopeH:
     dim: int
     a_eq: np.ndarray
     b_eq: np.ndarray
+    span: np.ndarray
 
 
 def _flat_index(xs, outs, inputs, outputs, k):
@@ -99,11 +102,19 @@ def ns_constraints(parties: int, inputs: int, outputs: int) -> NSPolytopeH:
                         row[_flat_index(xs, outs, inputs, outputs, k)] -= 1.0
                     rows.append(row)
                     rhs.append(0.0)
+    # One party's boxes are spanned by the deterministic box answering 0
+    # to every input and, per input x and output a > 0, the one answering
+    # a at x and 0 elsewhere; their k-fold products span the k-party boxes.
+    tables = [[0] * inputs] + [
+        [a if y == x else 0 for y in range(inputs)] for x in range(inputs) for a in range(1, outputs)
+    ]
+    singles = [deterministic_box(table, outputs) for table in tables]
+    span = np.array([product(fs).probs for fs in itertools.product(singles, repeat=k)])
     a_eq = np.array(rows)
     b_eq = np.array(rhs)
-    a_eq.setflags(write=False)
-    b_eq.setflags(write=False)
-    return NSPolytopeH(parties, inputs, outputs, dim, a_eq, b_eq)
+    for arr in (a_eq, b_eq, span):
+        arr.setflags(write=False)
+    return NSPolytopeH(parties, inputs, outputs, dim, a_eq, b_eq, span)
 
 
 def polytope_extremum(objective, poly: NSPolytopeH, maximize: bool = True):
@@ -255,17 +266,17 @@ def general_distance_detailed(p: Box, q: Box, tol: float = DEFAULT_TOL) -> Gener
 
     P - Q has zero mass per input, so the supremum over effects equals the
     least t with P - Q = S1 - S2 for S1, S2 in the no-signalling cone with
-    mass t per input.  Writing S1 = W + (P-Q)+ leaves S2 = W + (P-Q)-
-    nonnegative and no-signalling for free, so the LP is
+    mass t per input, i.e. the least mass of a cone element S1 >= (P-Q)+.
+    The LP solved is its dual,
 
-        minimize t  over W >= 0, t >= 0,  A W - t b = -A (P-Q)+,
+        maximize (P-Q)+ . lam  over lam >= 0,  lam . B = 1 for B in span,
 
-    with (A, b) the equalities of ns_constraints.  The witness is read off
-    the same LP: its reduced costs on the W columns are A^T y >= 0 with
-    b.y <= 1 for the optimal duals y, so A^T y takes every no-signalling
-    box into [0, 1], and any c with 0 <= c <= A^T y does too.  Zeroing
-    them where P - Q <= 0 gives such a c, and complementary slackness
-    makes c.(P-Q) = t.  Both boxes must pass `require_box` at `tol`.
+    with `span` the product boxes of ns_constraints: lam takes every
+    no-signalling box to 1.  It has (1 + |X| (|A| - 1))**k rows, where the
+    primal has one per independent no-signalling equality (81 against 176
+    at (4,2,2)).  The witness is lam zeroed where P - Q <= 0: it lies
+    between 0 and lam, so it is an effect, and its value on P - Q is the
+    LP's.  Both boxes must pass `require_box` at `tol`.
     """
     if not p.same_shape(q):
         raise ShapeError("boxes differ in shape")
@@ -273,11 +284,9 @@ def general_distance_detailed(p: Box, q: Box, tol: float = DEFAULT_TOL) -> Gener
     require_box(q, tol, "second box")
     poly = ns_constraints(p.parties, p.inputs, p.outputs)
     diff = p.probs - q.probs
-    a_eq = np.hstack([poly.a_eq, -poly.b_eq[:, None]])
-    cost = np.zeros(poly.dim + 1)
-    cost[-1] = 1.0
-    res = lp_solve(cost, a_eq=a_eq, b_eq=-(poly.a_eq @ np.maximum(diff, 0.0)))
+    ones = np.ones(len(poly.span))
+    res = lp_solve(np.maximum(diff, 0.0), a_eq=poly.span, b_eq=ones, maximize=True)
     if res.status != OPTIMAL:
         raise ConvergenceError(f"base-norm LP ended with status {res.status}")
-    coeffs = np.where(diff > 0.0, np.maximum(res.reduced_costs[:-1], 0.0), 0.0)
+    coeffs = np.where(diff > 0.0, res.x, 0.0)
     return GeneralDistanceResult(res.value, Effect(coeffs))

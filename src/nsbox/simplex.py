@@ -8,10 +8,7 @@ on dense numpy arrays.  Bland's smallest-index rule is used for both the
 entering and the leaving variable, which makes the pivot sequence (and
 hence the returned basic solution) deterministic and cycle-free.  Optimal
 solutions are always basic, i.e. vertices of the feasible polyhedron;
-random_ns_vertex relies on that.  An optimal result also carries the
-reduced costs of the final tableau, c - A^T y for the optimal duals y of
-the minimization (of -c when maximizing): they are >= 0, and zero wherever
-x > 0.
+random_ns_vertex relies on that.
 
 Statuses are reported explicitly; a solution that fails the final
 feasibility re-check is returned as "numerical", never as "optimal".
@@ -37,7 +34,6 @@ class LPResult:
     status: str
     x: np.ndarray | None
     value: float | None
-    reduced_costs: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -192,4 +188,4 @@ def lp_solve(
         feasible = float(np.max(a_ub @ x - b_ub)) <= _FEAS_TOL * scale
     if not feasible:
         return LPResult(NUMERICAL, None, None)
-    return LPResult(OPTIMAL, x, float(c @ x), z[:n])
+    return LPResult(OPTIMAL, x, float(c @ x))

@@ -137,6 +137,17 @@ class TestPolytope:
             _, vertex = polytope_extremum(rng.standard_normal(poly.dim), poly)
             assert np.all((vertex.probs < 1e-9) | (np.abs(vertex.probs - 1) < 1e-9))
 
+    def test_span_rows_are_independent_ns_boxes(self):
+        # The general distance's LP needs rows that span the NS boxes: each
+        # is a normalized NS box, they are independent, and there are as
+        # many as the dimension of the boxes' linear span.
+        for parties, inputs, outputs in [(1, 3, 2), (2, 2, 2), (3, 2, 2), (2, 3, 3), (2, 2, 3)]:
+            poly = ns_constraints(parties, inputs, outputs)
+            assert poly.span.shape == ((1 + inputs * (outputs - 1)) ** parties, poly.dim)
+            assert np.max(np.abs(poly.a_eq @ poly.span.T - poly.b_eq[:, None])) == 0.0
+            assert np.linalg.matrix_rank(poly.span) == len(poly.span)
+            assert np.linalg.matrix_rank(poly.a_eq) + len(poly.span) == poly.dim + 1
+
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             ns_constraints(8, 2, 2)
